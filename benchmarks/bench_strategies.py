@@ -1,5 +1,5 @@
-"""Strategy throughput: fusion (full, triaged, incremental) vs.
-concatfuzz vs. opfuzz iterations/s.
+"""Strategy throughput: fusion (full, triaged) vs. concatfuzz vs.
+opfuzz iterations/s.
 
 All rows run the identical loop (same solvers, seeds, iteration
 count, serial mode), so the deltas measure what each workload costs
@@ -10,21 +10,18 @@ budgets at ~0.4 iter/s; the solver-side fast paths (definition
 elimination, model guessing, incremental branch & bound, QuickXplain
 core shrinking) and the triage tier policy reclaim that wall clock.
 The ``fusion+triage`` row runs the same campaign with the default
-:class:`~repro.campaign.triage.TriagePolicy`; the
-``fusion+triage+incremental`` row additionally turns on per-cell
-solver sessions (:mod:`repro.solver.session`) — warm SAT prototypes,
-theory-lemma memoization, per-iteration outcome dedup. The assertions
-at the bottom pin both headline claims: triaged fusion sustains at
-least ten times the 0.4 iter/s pre-triage pipeline, and incremental
-sessions at least double the ~7 iter/s triaged baseline — so a
-regression in the solver fast paths, the tier routing or the session
-reuse fails the benchmark, not just a number in a text file.
+:class:`~repro.campaign.triage.TriagePolicy`. The assertion at the
+bottom pins the headline claim: triaged fusion sustains at least ten
+times the 0.4 iter/s pre-triage pipeline — so a regression in the
+solver fast paths or the tier routing fails the benchmark, not just a
+number in a text file.
 
 Set ``REPRO_BENCH_SMOKE=1`` (CI's bench-smoke stage) for a tiny run
 that exercises every row but skips the timing assertions and leaves
 the committed result artifacts untouched.
 """
 
+import os
 import platform
 import time
 
@@ -35,7 +32,6 @@ from repro.campaign.triage import TriagePolicy
 from repro.core.config import YinYangConfig
 from repro.core.yinyang import YinYang
 from repro.seeds import build_corpus
-from repro.solver.session import SessionConfig
 from repro.strategies import make_strategy
 
 ITERATIONS = 6 if smoke() else 60
@@ -46,16 +42,12 @@ SEED = 11
 #: solvers, serial). The triaged row must sustain >= 10x this.
 PRE_TRIAGE_BASELINE = 0.4
 
-#: The triaged-fusion throughput PR 7 recorded on this campaign. The
-#: incremental row must sustain >= 2x this.
-TRIAGED_BASELINE = 7.0
 
-
-def _run_strategy(name, seeds, triage=None, incremental=None, solvers=None):
+def _run_strategy(name, seeds, triage=None, solvers=None):
     solvers = solvers or deterministic_solvers()
     tool = YinYang(
         solvers,
-        YinYangConfig(seed=SEED, triage=triage, incremental=incremental),
+        YinYangConfig(seed=SEED, triage=triage),
         performance_threshold=None,
         strategy=make_strategy(name),
     )
@@ -74,10 +66,6 @@ def _campaign():
         rows[name] = (report, elapsed)
     report, elapsed = _run_strategy("fusion", seeds, triage=TriagePolicy())
     rows["fusion+triage"] = (report, elapsed)
-    report, elapsed = _run_strategy(
-        "fusion", seeds, triage=TriagePolicy(), incremental=SessionConfig()
-    )
-    rows["fusion+triage+incremental"] = (report, elapsed)
     # The pluggable-theory row: the identical fusion loop over QF_BV
     # seeds, solved by eager bit-blasting onto the same SAT core. Rates
     # compare against arithmetic fusion, so this row tracks what the
@@ -87,7 +75,6 @@ def _campaign():
         "fusion",
         bv_corpus.by_oracle("sat"),
         triage=TriagePolicy(),
-        incremental=SessionConfig(),
         solvers=deterministic_bv_solvers(),
     )
     rows["fusion@QF_BV"] = (report, elapsed)
@@ -112,7 +99,6 @@ def test_strategy_throughput(benchmark):
             f"{len(report.bugs):>5} {report.unknowns:>8}"
         )
     triage_rate = ITERATIONS / rows["fusion+triage"][1]
-    incremental_rate = ITERATIONS / rows["fusion+triage+incremental"][1]
     lines.append(
         "solve time dominates. The solver fast paths (definition "
         "elimination, model guess, incremental branch & bound, "
@@ -121,23 +107,15 @@ def test_strategy_throughput(benchmark):
         "additionally fail-fasts the budget-burning nonlinear mutants "
         f"(fusion+triage: {triage_rate:.1f} iter/s, "
         f"{triage_rate / PRE_TRIAGE_BASELINE:.0f}x the pre-triage "
-        "pipeline), and per-cell solver sessions reuse the seed "
-        "encoding and theory lemmas across the mutant stream "
-        f"(fusion+triage+incremental: {incremental_rate:.1f} iter/s, "
-        f"{incremental_rate / TRIAGED_BASELINE:.1f}x the triaged "
-        "baseline). concatfuzz/opfuzz mutants stay as easy as their "
+        "pipeline). concatfuzz/opfuzz mutants stay as easy as their "
         "seeds — opfuzz's extra reference solve per mutant "
         "(differential oracle) is cheap on those."
     )
     for name, (report, _elapsed) in rows.items():
         assert report.iterations == ITERATIONS, name
         assert report.fused > 0, name
-    # Neither triage nor incremental sessions may change what the
-    # campaign reports as bugs.
+    # Triage may not change what the campaign reports as bugs.
     assert len(rows["fusion+triage"][0].bugs) == len(rows["fusion"][0].bugs)
-    assert len(rows["fusion+triage+incremental"][0].bugs) == len(
-        rows["fusion"][0].bugs
-    )
     if smoke():
         # Smoke runs exist to exercise the rows in CI, not to time
         # them; skipping emit keeps the committed artifacts authentic.
@@ -151,21 +129,16 @@ def test_strategy_throughput(benchmark):
             "seed": SEED,
             "host": platform.node(),
             "git_rev": git_rev(),
+            "cpu_cores": os.cpu_count(),
             "strategies": {
                 name: round(ITERATIONS / elapsed, 2)
                 for name, (_report, elapsed) in rows.items()
             },
         },
     )
-    # The headline acceptance bars: triaged fusion sustains >= 10x the
-    # pre-triage pipeline, and incremental sessions >= 2x the triaged
-    # baseline.
+    # The headline acceptance bar: triaged fusion sustains >= 10x the
+    # pre-triage pipeline.
     assert triage_rate >= 10 * PRE_TRIAGE_BASELINE, (
         f"triaged fusion throughput regressed: {triage_rate:.2f} iter/s "
         f"< 10x the {PRE_TRIAGE_BASELINE} iter/s pre-triage baseline"
-    )
-    assert incremental_rate >= 2 * TRIAGED_BASELINE, (
-        f"incremental fusion throughput regressed: "
-        f"{incremental_rate:.2f} iter/s < 2x the {TRIAGED_BASELINE} "
-        f"iter/s triaged baseline"
     )

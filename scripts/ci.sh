@@ -13,12 +13,11 @@
 #      opfuzz must journal identically across modes/worker counts.
 #   3. Telemetry determinism — journals must stay byte-identical with
 #      metrics off, on, or traced, across modes and worker counts.
-#   4. Triage + session determinism — with the tier policy on, journals
-#      must stay byte-identical across worker counts, every definite
+#   4. Triage determinism — with the tier policy on, journals must
+#      stay byte-identical across worker counts, every definite
 #      full-budget verdict must survive tiering (verdict equivalence),
 #      and a fault-injected campaign must find the same bugs with
-#      triage on and off; incremental sessions must uphold the same
-#      three properties versus the cold loop.
+#      triage on and off.
 #   5. Fast lane — the full suite minus the soak/slow markers
 #      (see pyproject.toml; run the slow and chaos lanes nightly:
 #      `pytest -m slow` / `pytest -m chaos`).
@@ -37,7 +36,7 @@
 #      journal (the nightly slow lane re-runs the 4-worker shapes).
 #   9. QF_BV theory — the pluggable-theory path end-to-end through the
 #      real CLI: deterministic bit-vector campaigns (fusion and opfuzz,
-#      --triage --incremental) run serially and on a two-worker process
+#      --triage) run serially and on a two-worker process
 #      pool, and the journals must be byte-identical.
 #
 # Stages 1-4 are subsets of stage 5; running them first just makes
@@ -56,8 +55,8 @@ python -m pytest tests/test_strategies.py -q -m "not slow"
 echo "== stage 3/9: telemetry determinism (journal byte-identity) =="
 python -m pytest tests/test_parallel_determinism.py -q -m "not slow"
 
-echo "== stage 4/9: triage + session determinism (verdict equivalence, bug-finding power) =="
-python -m pytest tests/test_triage.py tests/test_session.py -q -m "not slow"
+echo "== stage 4/9: triage determinism (verdict equivalence, bug-finding power) =="
+python -m pytest tests/test_triage.py -q -m "not slow"
 
 echo "== stage 5/9: fast lane (full suite minus slow/chaos) =="
 python -m pytest -m "not slow and not chaos" -q
@@ -94,13 +93,11 @@ bvdir="$(mktemp -d)"
 trap 'rm -rf "$fleetdir" "$bvdir"' EXIT
 for strategy in fusion opfuzz; do
     python -m repro.cli campaign \
-        --logic QF_BV --strategy "$strategy" --deterministic \
-        --triage --incremental \
+        --logic QF_BV --strategy "$strategy" --deterministic --triage \
         --iterations 20 --scale 0.02 --seed 0 \
         --journal "$bvdir/$strategy-serial.jsonl" > /dev/null
     python -m repro.cli campaign \
-        --logic QF_BV --strategy "$strategy" --deterministic \
-        --triage --incremental \
+        --logic QF_BV --strategy "$strategy" --deterministic --triage \
         --mode process --workers 2 \
         --iterations 20 --scale 0.02 --seed 0 \
         --journal "$bvdir/$strategy-process2.jsonl" > /dev/null

@@ -267,7 +267,6 @@ def run_campaign(
     containment=None,
     chaos_process=None,
     triage=None,
-    incremental=None,
     logic=None,
     steal_seed=0,
     listen=None,
@@ -352,17 +351,6 @@ def run_campaign(
     ``net_chaos`` (a :class:`~repro.distributed.netchaos.NetChaos`)
     injects planned disconnects and seeded frame faults for recovery
     testing.
-
-    ``incremental`` switches on per-cell incremental solving: ``True``
-    (the default :class:`~repro.solver.session.SessionConfig`) or a
-    ready config. Each cell/shard builds a
-    :class:`~repro.solver.session.SolverSession` from its seed pool —
-    outcome/theory caches plus assumption-guarded warm SAT starts —
-    whose reuse is answer-invariant by construction, so journals stay
-    byte-identical across modes and worker counts (the journal records
-    the session spec; a resume refuses to mix incremental and cold
-    shards). ``None`` keeps the cold solve path and pre-session journal
-    bytes.
     """
     if mode not in CAMPAIGN_MODES:
         raise ValueError(f"mode must be one of {CAMPAIGN_MODES}, got {mode!r}")
@@ -387,10 +375,6 @@ def run_campaign(
         triage = TriagePolicy()
     elif isinstance(triage, str):
         triage = parse_budget_tiers(triage)
-    if incremental is True:
-        from repro.solver.session import SessionConfig
-
-        incremental = SessionConfig()
     if mode in ("process", "tcp"):
         if solver_factory is None:
             if solvers is not None:
@@ -429,11 +413,6 @@ def run_campaign(
             # split counters ride every cell report.
             meta_params["triage"] = triage.describe()
             journal.unknown_split = True
-        if incremental is not None and incremental is not False:
-            # Same discipline as triage: stamp the session spec only
-            # when the feature is on (cold journal bytes stay stable)
-            # and refuse resumes that would mix warm and cold shards.
-            meta_params["incremental"] = incremental.describe()
         if logic:
             # Stamped only for logic-restricted campaigns (QF_BV):
             # default journal bytes stay stable, and a resume with a
@@ -447,7 +426,6 @@ def run_campaign(
         fusion=fusion_config or FusionConfig(),
         seed=seed,
         triage=triage,
-        incremental=incremental or None,
     )
     cells = _campaign_cells(solvers, corpora)
     # Resumed cells are folded in first, in canonical order, so the
@@ -570,10 +548,6 @@ def _run_cells_process(
         # be spliced into a non-triage resume (different budgets mean
         # different unknown counts for the same iterations).
         meta["triage"] = config.triage.describe()
-    if config.incremental:
-        # And likewise for incremental sessions: warm and cold partial
-        # shards may differ in unknown counts and must not be mixed.
-        meta["incremental"] = config.incremental.describe()
     if logic:
         # A logic-restricted campaign's partial shards must never be
         # spliced into a default campaign's resume (different catalogs).

@@ -220,26 +220,6 @@ def _triage_from_args(args):
     return None
 
 
-def _add_incremental_flag(parser):
-    parser.add_argument(
-        "--incremental",
-        action="store_true",
-        help="per-cell incremental solver sessions: reuse outcome/theory "
-        "caches and assumption-guarded warm SAT starts across the "
-        "shared-seed mutant stream (answer-invariant; journals stay "
-        "byte-identical across modes and worker counts)",
-    )
-
-
-def _incremental_from_args(args):
-    """A SessionConfig when --incremental was given, else None."""
-    if getattr(args, "incremental", False):
-        from repro.solver.session import SessionConfig
-
-        return SessionConfig()
-    return None
-
-
 def _add_resilience_flags(parser):
     parser.add_argument(
         "--retries",
@@ -415,7 +395,6 @@ def _cmd_campaign(args):
         supervise=supervise,
         containment=containment,
         triage=_triage_from_args(args),
-        incremental=_incremental_from_args(args),
         logic=logic,
         steal_seed=args.steal_seed,
         listen=listen,
@@ -447,7 +426,6 @@ def _cmd_test(args):
         ),
         seed=args.seed,
         triage=_triage_from_args(args),
-        incremental=_incremental_from_args(args),
     )
     telemetry = _telemetry_from_args(args)
     tool = YinYang(
@@ -623,7 +601,6 @@ def build_parser():
     )
     _add_strategy_flag(p_campaign)
     _add_triage_flags(p_campaign)
-    _add_incremental_flag(p_campaign)
     _add_resilience_flags(p_campaign)
     _add_telemetry_flags(p_campaign, coverage=True)
     p_campaign.add_argument(
@@ -730,7 +707,6 @@ def build_parser():
     p_test.add_argument("--show", type=int, default=2, help="bug scripts to print")
     _add_strategy_flag(p_test)
     _add_triage_flags(p_test)
-    _add_incremental_flag(p_test)
     _add_resilience_flags(p_test)
     _add_telemetry_flags(p_test)
     p_test.set_defaults(func=_cmd_test)

@@ -138,22 +138,15 @@ def check_mutant(
     unknown_is_crash=False,
     iteration=-1,
     directive=None,
-    session=None,
 ):
     """Check one mutant against every solver, folding records into
     ``report``. Byte-compatible with the pre-pipeline
     ``YinYang._check_one``: same counter increments, same record
     fields, same ordering. ``directive`` (triage's per-mutant budget
-    tier) and ``session`` (the cell's incremental
-    :class:`~repro.solver.session.SolverSession`) are forwarded to each
-    solver; ``None`` for both keeps the exact pre-triage call shape, so
-    fakes with a one-argument ``check_script`` keep working."""
+    tier) is forwarded to each solver; ``None`` keeps the exact
+    pre-triage call shape, so fakes with a one-argument
+    ``check_script`` keep working."""
     schemes = mutant.schemes
-    if session is not None:
-        # Iteration boundary: outcome entries deduplicate the several
-        # solver checks of *this* mutant and must not leak across
-        # iterations (see SolverSession.begin_iteration).
-        session.begin_iteration()
     for solver in solvers:
         if getattr(solver, "quarantined", False):
             # Circuit breaker tripped: degrade gracefully to the
@@ -165,11 +158,7 @@ def check_mutant(
         began = time.perf_counter()
         try:
             with tel.phase("solve"):
-                if session is not None:
-                    outcome = solver.check_script(
-                        mutant.script, directive=directive, session=session
-                    )
-                elif directive is None:
+                if directive is None:
                     outcome = solver.check_script(mutant.script)
                 else:
                     outcome = solver.check_script(

@@ -52,11 +52,3 @@ class YinYangConfig:
     # default) keeps the loop byte-identical to the pre-triage tool.
     # Declared ``object`` to avoid a core -> campaign import cycle.
     triage: object = None
-    # Optional incremental solving: a frozen, picklable
-    # :class:`~repro.solver.session.SessionConfig` that makes the loop
-    # build one :class:`~repro.solver.session.SolverSession` per
-    # cell/shard (outcome/theory caches, assumption-based warm SAT
-    # starts). ``None``/``False`` is the cold loop, byte-identical to
-    # the pre-session tool. Declared ``object`` to avoid a core ->
-    # solver import at config time.
-    incremental: object = None

@@ -327,40 +327,29 @@ def _run_leased(state, tool, task, scripts):
             },
         )
     work = tool.prepare_work(task.oracle, scripts, list(task.logics))
-    # The incremental session's lifetime is the lease, not one index
-    # batch: created here, passed into every run_iterations call, and
-    # destroyed (with the lease) below. A lease retried after a crash
-    # builds a fresh session, and the session's reuse is answer-
-    # invariant, so shard re-execution cannot observe cache state.
-    session = tool.make_session(work)
     chaos = state.chaos_process
     reports = []
-    try:
-        for index in indices:
-            if progress is not None and index in progress.completed:
-                reports.append(deserialize_report(progress.completed[index]))
-                continue
-            if task.heartbeat_dir:
-                write_heartbeat(
-                    task.heartbeat_dir, task.lease_id, os.getpid(), task.attempt, index
-                )
-            if chaos is not None:
-                chaos.fire(index, task.attempt)
-            report = tool.run_iterations(
-                task.oracle,
-                scripts,
-                list(task.logics),
-                [index],
-                seed=task.seed,
-                work=work,
-                session=session,
+    for index in indices:
+        if progress is not None and index in progress.completed:
+            reports.append(deserialize_report(progress.completed[index]))
+            continue
+        if task.heartbeat_dir:
+            write_heartbeat(
+                task.heartbeat_dir, task.lease_id, os.getpid(), task.attempt, index
             )
-            if progress is not None:
-                progress.record(index, serialize_report(report, unknown_split=True))
-            reports.append(report)
-    finally:
-        if session is not None:
-            session.close()
+        if chaos is not None:
+            chaos.fire(index, task.attempt)
+        report = tool.run_iterations(
+            task.oracle,
+            scripts,
+            list(task.logics),
+            [index],
+            seed=task.seed,
+            work=work,
+        )
+        if progress is not None:
+            progress.record(index, serialize_report(report, unknown_split=True))
+        reports.append(report)
     return merge_shard_reports(reports)
 
 

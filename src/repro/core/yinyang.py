@@ -350,9 +350,7 @@ class YinYang:
             ]
             return merge_shard_reports([future.result() for future in futures])
 
-    def run_iterations(
-        self, oracle, scripts, logics, indices, seed=None, work=None, session=None
-    ):
+    def run_iterations(self, oracle, scripts, logics, indices, seed=None, work=None):
         """Run the iterations whose global ids are in ``indices``.
 
         This is the sharding primitive: a full run is
@@ -361,55 +359,25 @@ class YinYang:
         :func:`merge_shard_reports`) to the same report. Callers that
         split one shard into many small index batches (the supervised
         per-iteration loop) pass a pre-built ``work`` item so the
-        strategy's preparation cost is paid once, not per batch — and,
-        with incremental solving on, a pre-built ``session`` so the
-        cell's solver session outlives the batches (its lifetime is the
-        lease, see :mod:`repro.core.parallel`).
+        strategy's preparation cost is paid once, not per batch.
         """
         if work is None:
             work = self.strategy.prepare(oracle, scripts, logics)
-        return self._run_prepared(self.strategy, work, indices, seed, session)
+        return self._run_prepared(self.strategy, work, indices, seed)
 
     def prepare_work(self, oracle, scripts, logics):
         """Pre-build the strategy work item for repeated ``run_iterations``."""
         return self.strategy.prepare(oracle, scripts, logics)
 
-    def make_session(self, work):
-        """Build the cell's :class:`~repro.solver.session.SolverSession`,
-        or ``None`` when ``config.incremental`` is off.
-
-        The session is seeded from the work item's scripts (for mixed
-        fusion, both pools): those are the assertions every mutant of
-        the cell is built from, hence the reusable vocabulary.
-        """
-        incremental = self.config.incremental
-        if not incremental:
-            return None
-        # Imported lazily: the session layer is optional and pulls in
-        # the solver stack, which the core driver otherwise doesn't.
-        from repro.solver.session import SessionConfig, SolverSession
-
-        config = incremental if isinstance(incremental, SessionConfig) else None
-        scripts = list(getattr(work, "scripts", ()) or ())
-        scripts += list(getattr(work, "unsat_scripts", None) or ())
-        return SolverSession(scripts, config=config, telemetry=self._tel)
-
-    def _run_prepared(self, strategy, work, indices, seed=None, session=None):
+    def _run_prepared(self, strategy, work, indices, seed=None):
         """The shared shard loop: run ``indices`` of ``strategy`` over a
         prepared work item and fold the outcomes into one report."""
         seed = self.config.seed if seed is None else seed
         mutant_counter = "mutants." + strategy.name
         report = YinYangReport()
         start = time.perf_counter()
-        if session is None:
-            # Incremental off -> None; on -> a session scoped to this
-            # shard (serial runs: the whole cell). Leased callers pass
-            # their own so it spans the lease, not one index batch.
-            session = self.make_session(work)
         for index in indices:
-            self._one_iteration(
-                strategy, work, index, seed, report, mutant_counter, session
-            )
+            self._one_iteration(strategy, work, index, seed, report, mutant_counter)
         for solver in self.solvers:
             if getattr(solver, "quarantined", False):
                 report.quarantined.add(solver.name)
@@ -418,12 +386,9 @@ class YinYang:
         # iteration — the hot path stays counter-increments only.
         self._tel.sample_term_tables()
         self._tel.sample_guards(self.solvers)
-        self._tel.sample_session(session)
         return report
 
-    def _one_iteration(
-        self, strategy, work, index, seed, report, mutant_counter, session=None
-    ):
+    def _one_iteration(self, strategy, work, index, seed, report, mutant_counter):
         tel = self._tel
         rng = iteration_rng(seed, index)
         report.iterations += 1
@@ -471,7 +436,6 @@ class YinYang:
                 unknown_is_crash=self.config.unknown_is_crash,
                 iteration=index,
                 directive=directive,
-                session=session,
             )
 
     def test_mixed(self, want, sat_seeds, unsat_seeds, iterations=None):

@@ -15,8 +15,8 @@ The pieces:
 - :mod:`~repro.distributed.worker` — the worker side: connect, receive
   the campaign spec once, then pull leases and run them through the
   *exact* worker path process mode uses (:func:`repro.core.parallel._run_shard`
-  — sessions, triage, containment, heartbeats and progress checkpoints
-  all intact), shipping reports + telemetry snapshots back as frames;
+  — triage, containment, heartbeats and progress checkpoints all
+  intact), shipping reports + telemetry snapshots back as frames;
 - :mod:`~repro.distributed.endpoint` — the coordinator side of the
   transport: :class:`~repro.distributed.endpoint.TcpFleet` listens,
   hands queued leases to whichever worker asks first (pull-based work

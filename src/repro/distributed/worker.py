@@ -8,8 +8,8 @@ once, adopt this process as a campaign worker via the same
 
 The crucial property is what this module does *not* reimplement: a
 lease runs through :func:`repro.core.parallel.run_worker_task`, the
-exact entry point pool workers execute. Sessions, triage, containment
-rlimits, heartbeat files, and crash-safe progress checkpoints all work
+exact entry point pool workers execute. Triage, containment rlimits,
+heartbeat files, and crash-safe progress checkpoints all work
 unchanged; the socket replaces pickling-over-pipes, nothing else. That
 is why the fleet inherits byte-identical journals instead of having to
 re-prove them: a tcp worker computing iteration ``i`` is the same pure

@@ -63,7 +63,7 @@ class FaultySolver:
         info = analyze_script(script)
         return [f for f in self.faults if f.triggers_on(info)]
 
-    def check_script(self, script, directive=None, session=None):
+    def check_script(self, script, directive=None):
         """Check a script, subject to the injected faults."""
         function_probe("faulty.check")
         triggered = self.triggered_faults(script)
@@ -116,11 +116,7 @@ class FaultySolver:
         if slow_ids:
             line_probe("faulty.slow")
             time.sleep(self.slow_seconds)
-        if session is not None:
-            outcome = self.base.check_script(
-                working, directive=directive, session=session
-            )
-        elif directive is None:
+        if directive is None:
             outcome = self.base.check_script(working)
         else:
             outcome = self.base.check_script(working, directive=directive)

@@ -75,11 +75,6 @@ def _header_lines(journal):
         # Triage campaigns record the canonical policy spec so a stats
         # reader can tell which budget tiers produced the numbers.
         parts.append(f"triage {meta['triage']}")
-    if "incremental" in meta:
-        # Incremental campaigns journal the session cap spec; cold
-        # campaigns omit the key entirely (byte-stability, like
-        # strategy/triage above).
-        parts.append(f"incremental {meta['incremental']}")
     return [f"Campaign journal: {journal.path}", "  " + ", ".join(parts)]
 
 
@@ -102,12 +97,6 @@ def _metrics_sections(snapshot):
     if counters:
         rows = [(name, value) for name, value in sorted(counters.items())]
         lines += ["", render_table(["counter", "value"], rows, "Metrics")]
-    session = session_rows(counters)
-    if session:
-        lines += [
-            "",
-            render_table(["session", "value"], session, "Incremental sessions"),
-        ]
     fleet = [
         (name.split(".", 1)[1], value)
         for name, value in sorted(counters.items())
@@ -152,53 +141,6 @@ def _metrics_sections(snapshot):
             ),
         ]
     return lines
-
-
-def session_rows(counters):
-    """(label, value) rows summarizing incremental-session reuse.
-
-    Empty unless the snapshot carries ``session.*`` counters, so cold
-    campaigns (and every pre-existing golden file) render unchanged.
-    Rates are derived here rather than journalled: the counters are the
-    single source of truth and merge additively across shards.
-    """
-    if not any(name.startswith("session.") for name in counters):
-        return []
-
-    def rate(hits, misses):
-        total = hits + misses
-        if not total:
-            return "-"
-        return f"{100.0 * hits / total:.1f}% ({hits}/{total})"
-
-    rows = [
-        (
-            "outcome-cache hit rate",
-            rate(
-                counters.get("session.outcome.hit", 0),
-                counters.get("session.outcome.miss", 0),
-            ),
-        ),
-        (
-            "theory-cache hit rate",
-            rate(
-                counters.get("session.theory.hit", 0),
-                counters.get("session.theory.miss", 0),
-            ),
-        ),
-        (
-            "warm solves decided",
-            rate(
-                counters.get("session.warm.decided", 0),
-                counters.get("session.warm.fallback", 0),
-            ),
-        ),
-        ("warm solves skipped", counters.get("session.warm.skipped", 0)),
-        ("clauses replayed", counters.get("session.clauses.replayed", 0)),
-        ("clauses exported", counters.get("session.clauses.exported", 0)),
-        ("evictions", counters.get("session.evictions", 0)),
-    ]
-    return rows
 
 
 def coverage_rows(snapshot):

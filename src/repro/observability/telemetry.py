@@ -129,20 +129,6 @@ class Telemetry:
         self.registry.gauge("terms.intern_hits").track_max(stats["hits"])
         self.registry.gauge("terms.intern_misses").track_max(stats["misses"])
 
-    def sample_session(self, session):
-        """Record an incremental session's cache sizes as gauges.
-
-        Like the other profiling hooks, sampled at shard boundaries and
-        merged by max: the sizes are point-in-time high-water marks,
-        not summable counters (the session's hit/miss/eviction
-        *counters* flow through :meth:`count` as ``session.*``
-        unconditionally).
-        """
-        if not self.profile or session is None:
-            return
-        for name, size in session.cache_sizes().items():
-            self.registry.gauge("session." + name).track_max(size)
-
     def sample_guards(self, solvers):
         """Record guard breaker state for every guarded solver."""
         if not self.profile:
@@ -209,9 +195,6 @@ class _NullTelemetry:
         return NULL_SPAN
 
     def sample_term_tables(self):
-        pass
-
-    def sample_session(self, session):
         pass
 
     def sample_guards(self, solvers):

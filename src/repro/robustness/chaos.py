@@ -104,7 +104,7 @@ class ChaosSolver:
                 return kind
         return None
 
-    def check_script(self, script, directive=None, session=None):
+    def check_script(self, script, directive=None):
         self.checks += 1
         fault = self._draw()
         if fault is not None:
@@ -123,11 +123,7 @@ class ChaosSolver:
             )
         elif fault == EXCEPTION:
             raise ChaosError(f"{self.name}: injected harness exception")
-        if session is not None:
-            outcome = self.base.check_script(
-                script, directive=directive, session=session
-            )
-        elif directive is None:
+        if directive is None:
             outcome = self.base.check_script(script)
         else:
             outcome = self.base.check_script(script, directive=directive)

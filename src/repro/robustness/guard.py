@@ -196,15 +196,11 @@ class GuardedSolver:
 
     # -- the guarded check ----------------------------------------------
 
-    def _call_base(self, script, directive=None, session=None):
-        # The directive and session travel as explicit arguments (never
-        # a thread-local): the watchdog runs the check on a helper
+    def _call_base(self, script, directive=None):
+        # The directive travels as an explicit argument (never a
+        # thread-local): the watchdog runs the check on a helper
         # thread, where ambient state would silently not propagate.
-        if session is not None:
-            call = lambda: self.base.check_script(
-                script, directive=directive, session=session
-            )
-        elif directive is None:
+        if directive is None:
             call = lambda: self.base.check_script(script)
         else:
             call = lambda: self.base.check_script(script, directive=directive)
@@ -221,14 +217,14 @@ class GuardedSolver:
             return exc.kind in self.policy.retryable_kinds
         return isinstance(exc, OSError)
 
-    def check_script(self, script, directive=None, session=None):
+    def check_script(self, script, directive=None):
         if self.quarantined:
             raise SolverQuarantined(self.name)
         policy = self.policy
         retries_used = 0
         while True:
             try:
-                outcome = self._call_base(script, directive=directive, session=session)
+                outcome = self._call_base(script, directive=directive)
             except _WatchdogTimeout:
                 self._count("timeouts")
                 self._failure()

@@ -56,12 +56,7 @@ class SolveDirective:
     - ``shrink_cores`` — keep the DPLL(T) loop's deletion-based
       conflict minimization (``False`` skips it; sound either way, but
       on budget-burning mutants the minimization probes dominate the
-      solve, so reduced tiers turn it off);
-    - ``session`` — allow this tier to use the campaign cell's
-      incremental :class:`~repro.solver.session.SolverSession` when one
-      is active (``False`` forces the cold path for checks under this
-      directive; the default keeps sessions on for every tier, since
-      the session layer is answer-invariant by construction).
+      solve, so reduced tiers turn it off).
     """
 
     tier: str = "full"
@@ -72,7 +67,6 @@ class SolveDirective:
     eliminate_definitions: bool = False
     model_guess: bool = False
     shrink_cores: bool = True
-    session: bool = True
 
     def scaled_rounds(self, max_rounds):
         return scale_int(max_rounds, self.rounds)

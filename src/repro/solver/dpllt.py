@@ -55,18 +55,6 @@ def _unknown(reason, kind):
     return outcome
 
 
-def _strings_key(string_config):
-    """The hashable identity of a :class:`StringConfig` for cache keys."""
-    return (
-        string_config.max_len_per_var,
-        string_config.max_total_len,
-        string_config.max_assignments,
-        string_config.alphabet_size,
-        string_config.numeric_probe_range,
-        string_config.small_model_assumption,
-    )
-
-
 def check_assertions(
     assertions,
     string_config=None,
@@ -77,7 +65,6 @@ def check_assertions(
     eliminate_definitions=False,
     model_guess=False,
     shrink_cores=True,
-    session=None,
 ):
     """Decide the conjunction of ``assertions``; returns a CheckOutcome.
 
@@ -97,65 +84,11 @@ def check_assertions(
     a search heuristic, not a correctness step); reduced-budget tiers
     turn it off because on budget-burning mutants most solve time goes
     into the minimization probes.
-
-    ``session`` is an optional
-    :class:`~repro.solver.session.SolverSession`: the per-campaign-cell
-    incremental layer (outcome/theory caches, warm SAT starts under
-    assumption literals). With ``session=None`` the code path is the
-    plain cold solve, unchanged.
     """
     function_probe("dpllt.check")
     original = list(assertions)
     string_config = string_config or StringConfig()
 
-    outcome_key = None
-    if session is not None and deadline is None:
-        # Outcome caching is restricted to deterministic (deadline-free)
-        # checks: a wall-clock outcome is not a function of the
-        # arguments, so replaying one would not be answer-invariant.
-        outcome_key = (
-            tuple(original),
-            max_rounds,
-            nonlinear_budget,
-            _strings_key(string_config),
-            seed,
-            eliminate_definitions,
-            model_guess,
-            shrink_cores,
-        )
-        cached = session.lookup_outcome(outcome_key)
-        if cached is not None:
-            line_probe("dpllt.session_outcome_hit")
-            return cached
-    outcome = _check_uncached(
-        original,
-        string_config,
-        seed,
-        max_rounds,
-        nonlinear_budget,
-        deadline,
-        eliminate_definitions,
-        model_guess,
-        shrink_cores,
-        session,
-    )
-    if outcome_key is not None:
-        session.store_outcome(outcome_key, outcome)
-    return outcome
-
-
-def _check_uncached(
-    original,
-    string_config,
-    seed,
-    max_rounds,
-    nonlinear_budget,
-    deadline,
-    eliminate_definitions,
-    model_guess,
-    shrink_cores,
-    session,
-):
     pre = preprocess(original, eliminate_definitions=eliminate_definitions)
     if branch_probe("dpllt.quantified_residue", pre.quantified):
         return _refutation_path(original, pre, string_config, seed, deadline)
@@ -166,112 +99,19 @@ def _check_uncached(
             line_probe("dpllt.model_guess")
             return guessed
 
-    if session is not None and session.should_warm(max_rounds):
-        warm = session.warm_start(pre.assertions)
-        if warm is not None:
-            line_probe("dpllt.warm_attempt")
-            outcome = _search(
-                original,
-                pre,
-                warm.abstraction,
-                warm.sat,
-                string_config,
-                seed,
-                session.warm_rounds(max_rounds),
-                nonlinear_budget,
-                deadline,
-                shrink_cores,
-                session,
-                assumptions=warm.assumptions,
-                relevant=warm.relevant,
-            )
-            session.export_learned(warm, wall_clock=deadline is not None)
-            if outcome.result in (SolverResult.SAT, SolverResult.UNSAT):
-                # A warm ``sat`` was model-verified against the original
-                # assertions; a warm ``unsat`` holds because assumptions
-                # enforce exactly this mutant's assertions and replayed
-                # clauses are cell-valid (see session.py). Definite warm
-                # verdicts are therefore final.
-                line_probe("dpllt.warm_decided")
-                session.note_warm_decided()
-                return outcome
-            # Undecided within the warm budget: fall back to the exact
-            # cold path below, so versus incremental-off a warm attempt
-            # can only ever *add* definite verdicts, never lose one.
-            line_probe("dpllt.warm_fallback")
-            session.note_warm_fallback()
-
     sat_core = SatSolver()
     abstraction = tseitin.encode(pre.assertions, sat_core)
-    return _search(
-        original,
-        pre,
-        abstraction,
-        sat_core,
-        string_config,
-        seed,
-        max_rounds,
-        nonlinear_budget,
-        deadline,
-        shrink_cores,
-        session,
-    )
-
-
-def _search(
-    original,
-    pre,
-    abstraction,
-    sat_core,
-    string_config,
-    seed,
-    max_rounds,
-    nonlinear_budget,
-    deadline,
-    shrink_cores,
-    session,
-    assumptions=(),
-    relevant=None,
-):
-    """The DPLL(T) loop over an already-encoded abstraction.
-
-    The cold path runs it on a fresh encoding with no assumptions; a
-    warm (session) attempt runs it on a prototype clone under selector
-    assumptions, with the SAT model filtered to the atoms of the
-    asserted formulas (``relevant``) so theory checks range over the
-    same conjunctions a cold encoding would produce.
-    """
     saw_unknown = False
     saw_genuine = False
     rounds = 0
     theory_cache = {}
-    strings_key = _strings_key(string_config) if session is not None else None
 
     def make_check(budget, local_cache):
         def check(literal_list):
             key = frozenset(literal_list)
             if key in local_cache:
                 return local_cache[key]
-            result = None
-            if session is not None:
-                # The session memo is keyed on the *ordered* literal
-                # tuple (theory search is order-sensitive), making a hit
-                # an exact replay of the miss — result-identical, hence
-                # invisible to determinism and verdict equivalence.
-                result = session.theory_lookup(literal_list, budget, seed, strings_key)
-            if result is None:
-                result = _check_theory(
-                    literal_list, string_config, seed, budget, deadline
-                )
-                if session is not None:
-                    session.theory_store(
-                        literal_list,
-                        budget,
-                        seed,
-                        strings_key,
-                        result,
-                        cacheable=deadline is None or result[0] != UNKNOWN,
-                    )
+            result = _check_theory(literal_list, string_config, seed, budget, deadline)
             local_cache[key] = result
             return result
 
@@ -296,7 +136,7 @@ def _search(
         if deadline is not None and time.monotonic() > deadline:
             line_probe("dpllt.deadline")
             return _unknown("timeout", BUDGET_UNKNOWN)
-        verdict = sat_core.solve(assumptions=assumptions)
+        verdict = sat_core.solve()
         if verdict is None:
             line_probe("dpllt.sat_budget")
             return _unknown("sat budget exhausted", BUDGET_UNKNOWN)
@@ -312,8 +152,6 @@ def _search(
 
         sat_model = sat_core.model()
         literals = abstraction.theory_assignment(sat_model)
-        if relevant is not None:
-            literals = [pair for pair in literals if pair[0] in relevant]
         bool_literals = [
             (atom, value) for atom, value in literals if isinstance(atom, Var)
         ]

@@ -48,11 +48,9 @@ class ProcessSolver:
         self.timeout = timeout
         self.unknown_on_timeout = unknown_on_timeout
 
-    def check_script(self, script, directive=None, session=None):
-        # External binaries get no budget knobs; a triage directive and
-        # an incremental session are accepted for interface parity and
-        # ignored (sessions never cross the boundary to an external
-        # solver process — skipping an optimization is always sound).
+    def check_script(self, script, directive=None):
+        # External binaries get no budget knobs; a triage directive is
+        # accepted for interface parity and ignored.
         text = print_script(script)
         handle = tempfile.NamedTemporaryFile(
             "w", suffix=".smt2", delete=False, encoding="utf-8"

@@ -87,17 +87,13 @@ class ReferenceSolver:
         script = parse_script(source) if isinstance(source, str) else source
         return self.check_script(script, directive=directive)
 
-    def check_script(self, script, directive=None, session=None):
+    def check_script(self, script, directive=None):
         """Check a parsed :class:`Script`; returns a :class:`CheckOutcome`.
 
         ``directive`` (a :class:`~repro.solver.budget.SolveDirective`)
         scales the configured budgets for this one check and switches
         on the fused-structure fast paths; ``None`` is exactly the
         pre-triage behaviour.
-
-        ``session`` (a :class:`~repro.solver.session.SolverSession`)
-        enables the incremental layer for this check; a directive with
-        ``session=False`` vetoes it for this tier.
         """
         if not isinstance(script, Script):
             raise TypeError(f"expected a Script, got {type(script).__name__}")
@@ -116,8 +112,6 @@ class ReferenceSolver:
             eliminate_definitions = directive.eliminate_definitions
             model_guess = directive.model_guess
             shrink_cores = directive.shrink_cores
-            if not directive.session:
-                session = None
         deadline = time.monotonic() + seconds if seconds > 0 else None
         tel = self.telemetry
         if tel is None:
@@ -131,7 +125,6 @@ class ReferenceSolver:
                 eliminate_definitions=eliminate_definitions,
                 model_guess=model_guess,
                 shrink_cores=shrink_cores,
-                session=session,
             )
         with tel.phase("solver.check"):
             outcome = check_assertions(
@@ -144,7 +137,6 @@ class ReferenceSolver:
                 eliminate_definitions=eliminate_definitions,
                 model_guess=model_guess,
                 shrink_cores=shrink_cores,
-                session=session,
             )
         tel.count("solver.checks")
         tel.count("solver.result." + outcome.result.value)

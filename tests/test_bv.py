@@ -4,7 +4,7 @@ The bit-vector theory is the registry's proof of pluggability: it was
 added without editing the campaign core, and these tests pin each layer
 of the path — well-sortedness enforcement at construction, evaluator vs
 bit-blasted-solver agreement, and a full fault-injection campaign
-(fusion + opfuzz, ``--triage --incremental`` included) that finds every
+(fusion + opfuzz, ``--triage`` included) that finds every
 injected BV fault with byte-identical journals across fleet shapes.
 """
 
@@ -172,7 +172,6 @@ def fusion_serial(bv_corpora, tmp_path_factory):
         journal=path,
         strategy="fusion",
         triage=TriagePolicy(),
-        incremental=True,
         **_CAMPAIGN,
     )
     return result, path.read_bytes()
@@ -186,7 +185,6 @@ def opfuzz_serial(bv_corpora, tmp_path_factory):
         journal=path,
         strategy="opfuzz",
         triage=TriagePolicy(),
-        incremental=True,
         **_CAMPAIGN,
     )
     return result, path.read_bytes()
@@ -224,7 +222,6 @@ class TestBVCampaign:
             journal=path,
             strategy="fusion",
             triage=TriagePolicy(),
-            incremental=True,
             mode="process",
             workers=2,
             **_CAMPAIGN,
@@ -241,7 +238,6 @@ class TestBVCampaign:
             journal=path,
             strategy="opfuzz",
             triage=TriagePolicy(),
-            incremental=True,
             mode="thread",
             workers=3,
             **_CAMPAIGN,

@@ -13,6 +13,7 @@ import pytest
 
 from repro.campaign.runner import run_campaign
 from repro.core.yinyang import BugRecord, YinYangReport
+from repro.observability.stats import render_stats
 from repro.robustness import CampaignJournal, JournalError
 from repro.robustness.journal import (
     deserialize_bug_record,
@@ -170,17 +171,40 @@ class TestCampaignResume:
             YinYang.test = original
 
     def test_interrupted_campaign_resumes_byte_for_byte(self, corpora, tmp_path):
-        baseline = run_campaign(corpora, **CAMPAIGN)
+        cold_path = tmp_path / "cold.jsonl"
+        baseline = run_campaign(corpora, journal=cold_path, **CAMPAIGN)
         assert baseline.records, "campaign must find bugs for this test to bite"
+        cold_cells = cold_path.read_text().splitlines()[1:]
 
-        path = tmp_path / "campaign.jsonl"
-        self._interrupted_campaign(corpora, path, after_cells=3)
-        journaled = CampaignJournal(path).completed_cells()
-        assert len(journaled) == 3  # exactly the cells that finished
+        # The second input is a journal written with the removed
+        # ``--incremental`` flag: its meta line carries the session
+        # spec. Sessions never changed a cell record, so it must still
+        # resume to a cold run's cells.
+        legacy = {
+            "incremental": "outcome=256,theory=4096,clauses=256,presolve=64,warm=8"
+        }
+        for name, extra_meta in (("plain", {}), ("legacy", legacy)):
+            path = tmp_path / f"{name}.jsonl"
+            if extra_meta:
+                CampaignJournal(path).ensure_meta(
+                    seed=CAMPAIGN["seed"],
+                    iterations_per_cell=CAMPAIGN["iterations_per_cell"],
+                    **extra_meta,
+                )
+            self._interrupted_campaign(corpora, path, after_cells=3)
+            journaled = CampaignJournal(path).completed_cells()
+            assert len(journaled) == 3  # exactly the cells that finished
 
-        resumed = run_campaign(corpora, journal=path, resume=True, **CAMPAIGN)
-        assert len(resumed.reports) == len(baseline.reports)
-        assert serialized(resumed.records) == serialized(baseline.records)
+            resumed = run_campaign(corpora, journal=path, resume=True, **CAMPAIGN)
+            assert len(resumed.reports) == len(baseline.reports)
+            assert serialized(resumed.records) == serialized(baseline.records)
+            assert path.read_text().splitlines()[1:] == cold_cells
+            header = render_stats(path).splitlines()[:2]
+            assert header == [
+                f"Campaign journal: {path}",
+                f"  seed {CAMPAIGN['seed']}, "
+                f"{CAMPAIGN['iterations_per_cell']} iterations/cell",
+            ]
 
     def test_resume_skips_completed_cells(self, corpora, tmp_path):
         path = tmp_path / "campaign.jsonl"

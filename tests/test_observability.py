@@ -583,41 +583,3 @@ class TestStatsDashboard:
         path = tmp_path / "campaign.jsonl"
         _fabricated_journal(path)
         assert "Per-cell results" in render_stats(path)
-
-    def test_incremental_dashboard_matches_golden(self, tmp_path):
-        # An incremental campaign: the meta line carries the session
-        # spec and the snapshot carries session.* counters, so the
-        # header names the config and the reuse-rate section renders.
-        journal = CampaignJournal(tmp_path / "campaign.jsonl")
-        journal.ensure_meta(
-            seed=7,
-            iterations_per_cell=6,
-            incremental="outcome=256,theory=4096,clauses=256,presolve=64,warm=8",
-        )
-        report = YinYangReport(iterations=6, fused=6, unknowns=3)
-        journal.record_cell(("z3-like", "QF_LIA", "sat"), report)
-        registry = MetricsRegistry()
-        registry.inc("iterations", 6)
-        registry.inc("session.outcome.hit", 6)
-        registry.inc("session.outcome.miss", 6)
-        registry.inc("session.theory.hit", 40)
-        registry.inc("session.theory.miss", 160)
-        registry.inc("session.warm.attempt", 5)
-        registry.inc("session.warm.decided", 3)
-        registry.inc("session.warm.fallback", 2)
-        registry.inc("session.warm.skipped", 1)
-        registry.inc("session.clauses.replayed", 12)
-        registry.inc("session.clauses.exported", 4)
-        registry.inc("session.evictions", 2)
-        registry.gauge("session.theory_cache").track_max(96)
-        text = render_stats(journal, registry.snapshot())
-        text = text.replace(str(journal.path), "<journal>")
-        assert "Incremental sessions" in text
-        assert "incremental outcome=256" in text
-        _check_golden("stats_incremental.txt", text)
-
-    def test_cold_snapshot_renders_no_session_section(self, tmp_path):
-        journal = _fabricated_journal(tmp_path / "campaign.jsonl")
-        text = render_stats(journal, _fabricated_snapshot())
-        assert "Incremental sessions" not in text
-        assert "incremental" not in text.splitlines()[1]
